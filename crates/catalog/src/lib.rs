@@ -15,7 +15,9 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+use std::cell::Cell;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use moqo_core::tables::{TableId, TableSet, MAX_TABLES};
 
@@ -40,12 +42,33 @@ pub struct JoinEdge {
 }
 
 /// A database catalog: tables with cardinalities plus a join graph.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Catalog {
     tables: Vec<TableMeta>,
     /// Adjacency list: `adj[t]` holds `(neighbor, selectivity)` pairs.
     adj: Vec<Vec<(TableId, f64)>>,
     edges: Vec<JoinEdge>,
+    /// Process-unique id assigned by [`CatalogBuilder::build`]; keys the
+    /// [`Catalog::joint_selectivity`] memo. A catalog is immutable once
+    /// built, so a clone may share its id.
+    id: u64,
+}
+
+/// Source of [`Catalog`] ids. Starts at 1 so that no catalog matches the
+/// empty memo slot.
+static NEXT_CATALOG_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The last `joint_selectivity` answer on this thread:
+    /// `(catalog id, smaller side, larger side, selectivity)`.
+    static LAST_SELECTIVITY: Cell<(u64, u128, u128, f64)> = const { Cell::new((0, 0, 0, 1.0)) };
+}
+
+impl Default for Catalog {
+    /// An empty catalog (with its own id, like every built catalog).
+    fn default() -> Self {
+        CatalogBuilder::default().build()
+    }
 }
 
 impl Catalog {
@@ -95,12 +118,23 @@ impl Catalog {
     /// the product of edge selectivities crossing the cut (independence
     /// assumption).
     ///
+    /// Each thread remembers its last answer, keyed by this catalog's id
+    /// and the two sides after ordering them smaller first. Every operator
+    /// and mutation a cost model tries for one operand pair asks the same
+    /// question, so only the first call walks the join graph. The key
+    /// holds the sides in the order the product is taken, so a hit returns
+    /// the bits the walk would.
+    ///
     /// # Panics
     /// Panics in debug builds if the sets overlap.
     pub fn joint_selectivity(&self, a: TableSet, b: TableSet) -> f64 {
         debug_assert!(a.is_disjoint(b), "joint selectivity of overlapping sets");
         // Iterate neighbors of the smaller side for speed.
         let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let (id, s, l, sel) = LAST_SELECTIVITY.get();
+        if (id, s, l) == (self.id, small.bits(), large.bits()) {
+            return sel;
+        }
         let mut sel = 1.0;
         for t in small.iter() {
             for &(n, s) in &self.adj[t.index()] {
@@ -109,6 +143,7 @@ impl Catalog {
                 }
             }
         }
+        LAST_SELECTIVITY.set((self.id, small.bits(), large.bits(), sel));
         sel
     }
 
@@ -251,6 +286,7 @@ impl CatalogBuilder {
             tables: self.tables,
             adj,
             edges: self.edges,
+            id: NEXT_CATALOG_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 }
@@ -528,6 +564,112 @@ mod tests {
         assert!((c.joint_selectivity(a, b) - c.joint_selectivity(b, a)).abs() < 1e-18);
     }
 
+    /// The join-graph walk the memo must reproduce bit for bit, written out
+    /// independently of [`Catalog::joint_selectivity`].
+    fn uncached_selectivity(c: &Catalog, a: TableSet, b: TableSet) -> f64 {
+        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let mut sel = 1.0;
+        for t in small.iter() {
+            for &(n, s) in c.neighbors(t) {
+                if large.contains(n) {
+                    sel *= s;
+                }
+            }
+        }
+        sel
+    }
+
+    /// A dense 12-table graph with irregular selectivities, so the order
+    /// of the product shows in the low bits.
+    fn dense_catalog(scale: f64) -> Catalog {
+        let mut b = Catalog::builder();
+        let ids: Vec<TableId> = (0..12)
+            .map(|i| b.add_table(format!("t{i}"), 10.0 + i as f64))
+            .collect();
+        for i in 0..12 {
+            for j in (i + 1)..12 {
+                if (i * 7 + j * 3) % 4 != 0 {
+                    let sel = scale / (3.0 + (i * 13 + j * 5) as f64 * 0.37);
+                    b.add_join(ids[i], ids[j], sel);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn memo_keeps_catalogs_with_equal_tables_apart() {
+        let (c1, c2) = (dense_catalog(1.0), dense_catalog(0.5));
+        let a = TableSet::from_bits(0b0000_0101_0011);
+        let b = TableSet::from_bits(0b1110_1000_0100);
+        let (v1, v2) = (
+            uncached_selectivity(&c1, a, b),
+            uncached_selectivity(&c2, a, b),
+        );
+        assert_ne!(v1.to_bits(), v2.to_bits());
+        for _ in 0..3 {
+            assert_eq!(c1.joint_selectivity(a, b).to_bits(), v1.to_bits());
+            assert_eq!(c2.joint_selectivity(a, b).to_bits(), v2.to_bits());
+        }
+        // A clone is the same immutable catalog and shares the memo slot.
+        let clone = c1.clone();
+        assert_eq!(clone.joint_selectivity(a, b).to_bits(), v1.to_bits());
+        assert_eq!(c2.joint_selectivity(a, b).to_bits(), v2.to_bits());
+    }
+
+    #[test]
+    fn memo_honours_argument_order_for_equal_size_sides() {
+        let c = dense_catalog(1.0);
+        let a = TableSet::from_bits(0b0000_1011_0101);
+        let b = TableSet::from_bits(0b0101_0100_1010);
+        assert_eq!(a.len(), b.len());
+        let (ab, ba) = (
+            uncached_selectivity(&c, a, b),
+            uncached_selectivity(&c, b, a),
+        );
+        // The two walks multiply in different orders and round apart.
+        assert_ne!(ab.to_bits(), ba.to_bits());
+        for _ in 0..2 {
+            assert_eq!(c.joint_selectivity(a, b).to_bits(), ab.to_bits());
+            assert_eq!(c.joint_selectivity(a, b).to_bits(), ab.to_bits());
+            assert_eq!(c.joint_selectivity(b, a).to_bits(), ba.to_bits());
+            assert_eq!(c.joint_selectivity(b, a).to_bits(), ba.to_bits());
+        }
+    }
+
+    #[test]
+    fn memo_answers_agree_across_threads() {
+        let c = std::sync::Arc::new(dense_catalog(1.0));
+        let pairs: Vec<(TableSet, TableSet)> = (1u128..200)
+            .map(|i| {
+                let a = TableSet::from_bits((i * 2_654_435_761) & 0xfff);
+                let b = TableSet::from_bits(!a.bits() & (i * 40_503) & 0xfff);
+                (a, b)
+            })
+            .collect();
+        let expected: Vec<u64> = pairs
+            .iter()
+            .map(|&(a, b)| uncached_selectivity(&c, a, b).to_bits())
+            .collect();
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (c, pairs) = (c.clone(), pairs.clone());
+                std::thread::spawn(move || {
+                    pairs
+                        .iter()
+                        .map(|&(a, b)| {
+                            c.joint_selectivity(a, b);
+                            c.joint_selectivity(a, b).to_bits()
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().expect("worker panicked"), expected);
+        }
+    }
+
     #[test]
     fn connectivity() {
         let c = chain_catalog(5);
@@ -591,6 +733,22 @@ mod tests {
             let lhs = c.joint_selectivity(a.union(b), cc);
             let rhs = c.joint_selectivity(a, cc) * c.joint_selectivity(b, cc);
             proptest::prop_assert!((lhs - rhs).abs() <= 1e-12 * lhs.max(rhs).max(1.0));
+        }
+    }
+
+    proptest::proptest! {
+        /// The memoized joint selectivity equals the uncached walk bit for
+        /// bit, on a miss and on the repeat call that hits.
+        #[test]
+        fn memoized_selectivity_matches_uncached(bits_a in 0u16..4096, bits_b in 0u16..4096, scale in 0.1f64..1.0) {
+            let c = dense_catalog(scale);
+            let a = TableSet::from_bits(bits_a as u128);
+            let b = TableSet::from_bits((bits_b as u128) & !(bits_a as u128));
+            let expected = uncached_selectivity(&c, a, b).to_bits();
+            proptest::prop_assert_eq!(c.joint_selectivity(a, b).to_bits(), expected);
+            proptest::prop_assert_eq!(c.joint_selectivity(a, b).to_bits(), expected);
+            let reversed = uncached_selectivity(&c, b, a).to_bits();
+            proptest::prop_assert_eq!(c.joint_selectivity(b, a).to_bits(), reversed);
         }
     }
 

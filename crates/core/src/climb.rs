@@ -31,6 +31,7 @@
 
 use crate::archive::Admission;
 use crate::arena::{PlanArena, PlanId, PlanNodeKind};
+use crate::fxhash::FxHashMap;
 use crate::model::CostModel;
 use crate::mutations::{all_neighbors, MutationSet};
 use crate::optimizer::AbortCheck;
@@ -68,10 +69,32 @@ pub struct ClimbStats {
     pub steps: usize,
 }
 
-/// Reusable buffers for [`pareto_step_with`]: operator lists queried from
-/// the cost model in the innermost candidate loops. One scratch serves a
-/// whole climb (the recursion uses each buffer transiently between
-/// recursive calls), and the RMQ main loop reuses one across iterations.
+/// Reusable buffers for [`pareto_step_with`] and the arena step: operator
+/// lists queried from the cost model in the innermost candidate loops. One
+/// scratch serves a whole climb (the recursion uses each buffer transiently
+/// between recursive calls), and the RMQ main loop reuses one across
+/// iterations.
+///
+/// # The step memo
+///
+/// The arena climbs also keep their `ParetoStep` memo here. Under the
+/// principle of optimality the step frontier of a subtree depends only on
+/// that subtree, and most subtrees survive a climbing move unchanged, so
+/// each subtree's step is computed once per climb:
+///
+/// - **Key:** the subtree's [`PlanId`]. Within one climb the arena is
+///   append-only and hash-consed, so an id names one immutable subtree.
+/// - **Value:** a range of one shared id pool (no per-entry `Vec`, so the
+///   steady state allocates nothing new) plus the subtree's screening
+///   tallies, children included.
+/// - **Lifetime:** one climb. Every arena climb and every
+///   [`pareto_step_in`] call starts with an empty memo, because
+///   [`PlanArena::clear`] reuses ids.
+///
+/// A hit returns the stored ids and adds the stored tallies to
+/// [`StepScratch::screen`]. Recomputing would have interned only nodes the
+/// arena already holds, so ids, moves and every `climb.*`/`pareto.*`
+/// counter stay bit-identical; only the arena's dedup-hit count is lower.
 #[derive(Debug, Default)]
 pub struct StepScratch {
     ops: Vec<crate::model::JoinOpId>,
@@ -83,12 +106,34 @@ pub struct StepScratch {
     /// takes the accumulated total once per iteration and flushes it to
     /// the global `moqo-obs` registry.
     pub screen: crate::pareto::ScreenCounters,
+    memo: FxHashMap<PlanId, StepMemoEntry>,
+    memo_pool: Vec<PlanId>,
+    memo_hits: u64,
+}
+
+/// One step-memo entry: the subtree's step frontier as a range of
+/// [`StepScratch::memo_pool`] and the tallies its computation produced.
+#[derive(Debug)]
+struct StepMemoEntry {
+    range: std::ops::Range<usize>,
+    screen: crate::pareto::ScreenCounters,
 }
 
 impl StepScratch {
     /// Returns and resets the accumulated screening tallies.
     pub fn take_screen(&mut self) -> crate::pareto::ScreenCounters {
         std::mem::take(&mut self.screen)
+    }
+
+    /// Returns and resets the number of subtree steps served from the step
+    /// memo instead of being recomputed.
+    pub fn take_step_memo_hits(&mut self) -> u64 {
+        std::mem::take(&mut self.memo_hits)
+    }
+
+    fn clear_memo(&mut self) {
+        self.memo.clear();
+        self.memo_pool.clear();
     }
 }
 
@@ -203,6 +248,9 @@ where
 /// candidates intern their root (an intern hit — the steady-state common
 /// case once a neighborhood has been visited — allocates nothing); rejected
 /// candidates touch neither the arena nor the heap.
+///
+/// Each call starts from an empty step memo (see [`StepScratch`]), so the
+/// arena may change arbitrarily between calls.
 pub fn pareto_step_in<M>(
     arena: &mut PlanArena,
     p: PlanId,
@@ -214,6 +262,35 @@ pub fn pareto_step_in<M>(
 where
     M: CostModel + ?Sized,
 {
+    scratch.clear_memo();
+    let range = step_memo_in(arena, p, model, policy, mutations, scratch);
+    scratch.memo_pool[range].to_vec()
+}
+
+/// The one `ParetoStep` body behind [`pareto_step_in`] and the arena climbs:
+/// returns the range of `scratch.memo_pool` holding the step frontier of
+/// `p`, computing it only if the memo has no entry for `p` yet.
+fn step_memo_in<M>(
+    arena: &mut PlanArena,
+    p: PlanId,
+    model: &M,
+    policy: PrunePolicy,
+    mutations: MutationSet,
+    scratch: &mut StepScratch,
+) -> std::ops::Range<usize>
+where
+    M: CostModel + ?Sized,
+{
+    if let Some(entry) = scratch.memo.get(&p) {
+        // The subtree's tallies are replayed so the obs counters read as if
+        // the step had been recomputed.
+        scratch.screen.absorb(&entry.screen);
+        scratch.memo_hits += 1;
+        return entry.range.clone();
+    }
+    // Tally this subtree (children included) apart from the caller's
+    // running total, so a later hit can replay exactly this delta.
+    let outer_screen = std::mem::take(&mut scratch.screen);
     let mut frontier: ParetoSet<PlanId> = ParetoSet::new();
     let admission = Admission::climb(policy);
     match arena.node(p).kind() {
@@ -231,12 +308,16 @@ where
             }
         }
         PlanNodeKind::Join { outer, inner, op } => {
-            let outer_pareto = pareto_step_in(arena, outer, model, policy, mutations, scratch);
-            let inner_pareto = pareto_step_in(arena, inner, model, policy, mutations, scratch);
-            for &o in &outer_pareto {
+            let outer_pareto = step_memo_in(arena, outer, model, policy, mutations, scratch);
+            let inner_pareto = step_memo_in(arena, inner, model, policy, mutations, scratch);
+            // Neither range moves below: this level appends to the pool
+            // only after its candidate loops.
+            for oi in outer_pareto {
+                let o = scratch.memo_pool[oi];
                 // One view copy per operand pair, reused across operators.
                 let vo = arena.view(o);
-                for &i in &inner_pareto {
+                for ii in inner_pareto.clone() {
+                    let i = scratch.memo_pool[ii];
                     let vi = arena.view(i);
                     scratch.ops.clear();
                     model.join_ops(&vo, &vi, &mut scratch.ops);
@@ -285,7 +366,19 @@ where
         }
     }
     scratch.screen.absorb(&frontier.screen_counters());
-    frontier.into_plans()
+    let screen = std::mem::replace(&mut scratch.screen, outer_screen);
+    scratch.screen.absorb(&screen);
+    let start = scratch.memo_pool.len();
+    scratch.memo_pool.extend_from_slice(frontier.plans());
+    let range = start..scratch.memo_pool.len();
+    scratch.memo.insert(
+        p,
+        StepMemoEntry {
+            range: range.clone(),
+            screen,
+        },
+    );
+    range
 }
 
 /// Climbs until `p` cannot be improved further (`ParetoClimb`): repeatedly
@@ -382,16 +475,20 @@ fn climb_loop_in<M>(
 where
     M: CostModel + ?Sized,
 {
+    // The arena may have been cleared since the last climb, which reuses
+    // ids; from here on it is append-only, so a memoized id stays valid.
+    scratch.clear_memo();
     let mut current = start;
     let mut stats = ClimbStats::default();
     while stats.steps < cfg.max_steps {
         if abort.is_some_and(AbortCheck::should_abort) {
             return (current, stats, true);
         }
-        let mutations = pareto_step_in(arena, current, model, cfg.policy, cfg.mutations, scratch);
+        let mutations = step_memo_in(arena, current, model, cfg.policy, cfg.mutations, scratch);
         let current_cost = *arena.node(current).cost();
-        match mutations
-            .into_iter()
+        match scratch.memo_pool[mutations]
+            .iter()
+            .copied()
             .find(|&m| arena.node(m).cost().strictly_dominates(&current_cost))
         {
             Some(better) => {

@@ -294,6 +294,7 @@ impl<M: CostModel> Rmq<M> {
             // iterations leave no trace in the obs registry either.
             let _ = climb_opt;
             let _ = self.climb_scratch.take_screen();
+            let _ = self.climb_scratch.take_step_memo_hits();
             self.climb_arena.clear();
             return None;
         }
@@ -411,6 +412,8 @@ impl<M: CostModel> Rmq<M> {
         m.climb_rejected.add(screen.rejected);
         m.climb_admitted.add(screen.admitted);
         m.climb_evicted.add(screen.evicted);
+        m.climb_step_memo_hits
+            .add(self.climb_scratch.take_step_memo_hits());
         // Archive-kernel seams: blocks screened by the SoA kernels and
         // precision-driven ε-box rejections, across the climb frontiers,
         // the partial-plan cache, and the ablation result archive; plus the

@@ -314,6 +314,9 @@ pub struct Metrics {
     pub climb_admitted: ShardedCounter,
     /// Incumbent members evicted by an admitted candidate.
     pub climb_evicted: ShardedCounter,
+    /// Subtree `ParetoStep`s served from the per-climb step memo instead of
+    /// being recomputed.
+    pub climb_step_memo_hits: ShardedCounter,
     /// Structure-of-arrays blocks screened by the Pareto dominance kernels
     /// (blocks the aggregate-key range filter could not skip).
     pub pareto_blocks_screened: ShardedCounter,
@@ -436,6 +439,7 @@ impl Metrics {
             climb_rejected: ShardedCounter::new(),
             climb_admitted: ShardedCounter::new(),
             climb_evicted: ShardedCounter::new(),
+            climb_step_memo_hits: ShardedCounter::new(),
             pareto_blocks_screened: ShardedCounter::new(),
             pareto_eps_rejects: ShardedCounter::new(),
             pareto_archive_size: Gauge::new(),
@@ -495,6 +499,7 @@ impl Metrics {
             ("climb.rejected", self.climb_rejected.get()),
             ("climb.admitted", self.climb_admitted.get()),
             ("climb.evicted", self.climb_evicted.get()),
+            ("climb.step_memo_hits", self.climb_step_memo_hits.get()),
             ("pareto.blocks_screened", self.pareto_blocks_screened.get()),
             ("pareto.eps_rejects", self.pareto_eps_rejects.get()),
             ("pareto.archive_size", self.pareto_archive_size.get()),
@@ -716,6 +721,7 @@ mod tests {
         let names: Vec<&str> = metrics().counters().iter().map(|(n, _)| *n).collect();
         assert!(names.contains(&"rmq.iterations"));
         assert!(names.contains(&"climb.agg_key_skips"));
+        assert!(names.contains(&"climb.step_memo_hits"));
         assert!(names.contains(&"pareto.blocks_screened"));
         assert!(names.contains(&"pareto.eps_rejects"));
         assert!(names.contains(&"pareto.archive_size"));
