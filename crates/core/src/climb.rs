@@ -84,8 +84,8 @@ pub struct ClimbStats {
 ///
 /// - **Key:** the subtree's [`PlanId`]. Within one climb the arena is
 ///   append-only and hash-consed, so an id names one immutable subtree.
-/// - **Value:** a range of one shared id pool (no per-entry `Vec`, so the
-///   steady state allocates nothing new) plus the subtree's screening
+/// - **Value:** a range of one shared id pool (no per-entry `Vec`; the
+///   pool keeps its capacity across climbs) plus the subtree's screening
 ///   tallies, children included.
 /// - **Lifetime:** one climb. Every arena climb and every
 ///   [`pareto_step_in`] call starts with an empty memo, because
