@@ -47,6 +47,10 @@ pub struct Catalog {
     tables: Vec<TableMeta>,
     /// Adjacency list: `adj[t]` holds `(neighbor, selectivity)` pairs.
     adj: Vec<Vec<(TableId, f64)>>,
+    /// `neighbor_masks[t]`: the bits of `adj[t]`'s neighbours, so
+    /// [`Catalog::joint_selectivity`] skips a table with no edge across
+    /// the cut without walking its list.
+    neighbor_masks: Vec<u128>,
     edges: Vec<JoinEdge>,
     /// Process-unique id assigned by [`CatalogBuilder::build`]; keys the
     /// [`Catalog::joint_selectivity`] memo. A catalog is immutable once
@@ -58,10 +62,25 @@ pub struct Catalog {
 /// empty memo slot.
 static NEXT_CATALOG_ID: AtomicU64 = AtomicU64::new(1);
 
+/// One remembered `joint_selectivity` answer:
+/// `(catalog id, first side bits, second side bits, selectivity)`.
+type MemoEntry = (u64, u128, u128, f64);
+
+/// The per-thread `joint_selectivity` memo (see that method).
+struct SelectivityMemo {
+    /// The last answer, keyed by the sides in call order.
+    call: Cell<MemoEntry>,
+    /// The last walk's answer, keyed by the sides smaller first.
+    sorted: Cell<MemoEntry>,
+}
+
 thread_local! {
-    /// The last `joint_selectivity` answer on this thread:
-    /// `(catalog id, smaller side, larger side, selectivity)`.
-    static LAST_SELECTIVITY: Cell<(u64, u128, u128, f64)> = const { Cell::new((0, 0, 0, 1.0)) };
+    static SELECTIVITY_MEMO: SelectivityMemo = const {
+        SelectivityMemo {
+            call: Cell::new((0, 0, 0, 1.0)),
+            sorted: Cell::new((0, 0, 0, 1.0)),
+        }
+    };
 }
 
 impl Default for Catalog {
@@ -118,32 +137,61 @@ impl Catalog {
     /// the product of edge selectivities crossing the cut (independence
     /// assumption).
     ///
-    /// Each thread remembers its last answer, keyed by this catalog's id
-    /// and the two sides after ordering them smaller first. Every operator
-    /// and mutation a cost model tries for one operand pair asks the same
-    /// question, so only the first call walks the join graph. The key
-    /// holds the sides in the order the product is taken, so a hit returns
-    /// the bits the walk would.
+    /// The walk goes over the neighbours of the smaller side (the first
+    /// one on a tie), multiplying in adjacency order. Each thread keeps a
+    /// two-level memo keyed by this catalog's id. Every operator and
+    /// mutation a cost model tries for one operand pair asks the same
+    /// question, so only the first call walks the join graph:
+    ///
+    /// 1. the last answer, keyed by the sides in call order, checked
+    ///    before anything else (no set sizes are counted on a hit);
+    /// 2. the last walk, keyed by the sides smaller first, which also
+    ///    answers the same pair asked in the other order.
+    ///
+    /// Both keys determine the order the product is taken in, so a hit
+    /// returns the bits the walk would. On a full miss the walk skips every
+    /// table of the smaller side whose neighbour mask misses the larger
+    /// side; such a table contributes no factor, so the product is
+    /// unchanged.
     ///
     /// # Panics
     /// Panics in debug builds if the sets overlap.
     pub fn joint_selectivity(&self, a: TableSet, b: TableSet) -> f64 {
         debug_assert!(a.is_disjoint(b), "joint selectivity of overlapping sets");
-        // Iterate neighbors of the smaller side for speed.
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let (id, s, l, sel) = LAST_SELECTIVITY.get();
-        if (id, s, l) == (self.id, small.bits(), large.bits()) {
-            return sel;
-        }
+        SELECTIVITY_MEMO.with(|memo| {
+            let (id, x, y, sel) = memo.call.get();
+            if (id, x, y) == (self.id, a.bits(), b.bits()) {
+                return sel;
+            }
+            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+            let (id, s, l, sel) = memo.sorted.get();
+            let sel = if (id, s, l) == (self.id, small.bits(), large.bits()) {
+                sel
+            } else {
+                let sel = self.crossing_product(small, large);
+                memo.sorted.set((self.id, small.bits(), large.bits(), sel));
+                sel
+            };
+            memo.call.set((self.id, a.bits(), b.bits(), sel));
+            sel
+        })
+    }
+
+    /// The product of the selectivities of the edges from `small` into
+    /// `large`, walking `small`'s tables in order and each table's
+    /// neighbours in adjacency order.
+    fn crossing_product(&self, small: TableSet, large: TableSet) -> f64 {
         let mut sel = 1.0;
         for t in small.iter() {
+            if self.neighbor_masks[t.index()] & large.bits() == 0 {
+                continue;
+            }
             for &(n, s) in &self.adj[t.index()] {
                 if large.contains(n) {
                     sel *= s;
                 }
             }
         }
-        LAST_SELECTIVITY.set((self.id, small.bits(), large.bits(), sel));
         sel
     }
 
@@ -282,9 +330,14 @@ impl CatalogBuilder {
             adj[e.a.index()].push((e.b, e.selectivity));
             adj[e.b.index()].push((e.a, e.selectivity));
         }
+        let neighbor_masks = adj
+            .iter()
+            .map(|ns| ns.iter().fold(0u128, |m, (n, _)| m | 1u128 << n.index()))
+            .collect();
         Catalog {
             tables: self.tables,
             adj,
+            neighbor_masks,
             edges: self.edges,
             id: NEXT_CATALOG_ID.fetch_add(1, Ordering::Relaxed),
         }
@@ -579,22 +632,111 @@ mod tests {
         sel
     }
 
-    /// A dense 12-table graph with irregular selectivities, so the order
-    /// of the product shows in the low bits.
-    fn dense_catalog(scale: f64) -> Catalog {
+    /// A 12-table graph holding the pairs `keep` accepts, with irregular
+    /// selectivities, so the order of the product shows in the low bits.
+    fn graph_catalog(scale: f64, keep: fn(usize, usize) -> bool) -> Catalog {
         let mut b = Catalog::builder();
         let ids: Vec<TableId> = (0..12)
             .map(|i| b.add_table(format!("t{i}"), 10.0 + i as f64))
             .collect();
         for i in 0..12 {
             for j in (i + 1)..12 {
-                if (i * 7 + j * 3) % 4 != 0 {
+                if keep(i, j) {
                     let sel = scale / (3.0 + (i * 13 + j * 5) as f64 * 0.37);
                     b.add_join(ids[i], ids[j], sel);
                 }
             }
         }
         b.build()
+    }
+
+    /// Three quarters of all pairs joined.
+    fn dense_catalog(scale: f64) -> Catalog {
+        graph_catalog(scale, |i, j| (i * 7 + j * 3) % 4 != 0)
+    }
+
+    /// The complement of [`dense_catalog`]'s graph: most tables of a side
+    /// have no edge into the other side.
+    fn sparse_catalog(scale: f64) -> Catalog {
+        graph_catalog(scale, |i, j| (i * 7 + j * 3) % 4 == 0)
+    }
+
+    /// A star around table 0 whose edges are declared hub-last, so every
+    /// leaf lists the hub and the hub lists every leaf.
+    fn star_catalog() -> Catalog {
+        let mut b = Catalog::builder();
+        let ids: Vec<TableId> = (0..9)
+            .map(|i| b.add_table(format!("s{i}"), 50.0 + i as f64))
+            .collect();
+        for (k, &leaf) in ids[1..].iter().enumerate() {
+            b.add_join(leaf, ids[0], 0.5 / (k + 2) as f64);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn neighbor_masks_agree_with_adjacency() {
+        for c in [dense_catalog(1.0), sparse_catalog(1.0), star_catalog()] {
+            for t in 0..c.num_tables() {
+                for u in 0..c.num_tables() {
+                    let listed = c
+                        .neighbors(TableId::new(t))
+                        .iter()
+                        .any(|(n, _)| n.index() == u);
+                    let masked = c.neighbor_masks[t] & (1u128 << u) != 0;
+                    assert_eq!(masked, listed, "table {t}, neighbour {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_level_memo_matches_uncached_walk() {
+        let catalogs = [dense_catalog(1.0), sparse_catalog(0.7)];
+        // Unequal sides, equal sides (whose two orders round apart on the
+        // dense graph), a pair with no crossing edge on the sparse graph.
+        let pairs = [
+            (0b0000_0101_0011, 0b1110_1000_0100),
+            (0b0000_1011_0101, 0b0101_0100_1010),
+            (0b0000_0000_0001, 0b0000_0000_0110),
+        ]
+        .map(|(a, b)| (TableSet::from_bits(a), TableSet::from_bits(b)));
+        let (a, b) = pairs[1];
+        assert_ne!(
+            uncached_selectivity(&catalogs[0], a, b).to_bits(),
+            uncached_selectivity(&catalogs[0], b, a).to_bits()
+        );
+        let mut calls = Vec::new();
+        for &(a, b) in &pairs {
+            calls.extend([(a, b), (a, b), (b, a), (a, b), (b, a), (b, a)]);
+        }
+        // Unrelated calls between repeats of the first pair.
+        calls.extend([
+            pairs[0],
+            pairs[2],
+            pairs[0],
+            (pairs[0].1, pairs[0].0),
+            pairs[0],
+        ]);
+        let check = |k: usize, a: TableSet, b: TableSet| {
+            let c = &catalogs[k];
+            assert_eq!(
+                c.joint_selectivity(a, b).to_bits(),
+                uncached_selectivity(c, a, b).to_bits(),
+                "catalog {k}, {a} with {b}"
+            );
+        };
+        // One catalog at a time, then both catalogs on every call.
+        for k in 0..catalogs.len() {
+            for &(a, b) in &calls {
+                check(k, a, b);
+            }
+        }
+        for &(a, b) in &calls {
+            for k in 0..catalogs.len() {
+                check(k, a, b);
+            }
+        }
     }
 
     #[test]
@@ -738,10 +880,12 @@ mod tests {
 
     proptest::proptest! {
         /// The memoized joint selectivity equals the uncached walk bit for
-        /// bit, on a miss and on the repeat call that hits.
+        /// bit, on a miss, on the repeat call that hits, and in the other
+        /// order, on a dense graph and on a sparse one.
         #[test]
-        fn memoized_selectivity_matches_uncached(bits_a in 0u16..4096, bits_b in 0u16..4096, scale in 0.1f64..1.0) {
-            let c = dense_catalog(scale);
+        fn memoized_selectivity_matches_uncached(bits_a in 0u16..4096, bits_b in 0u16..4096, scale in 0.1f64..1.0, sparse in 0u8..2) {
+            // The sparse graph leaves many tables with no crossing edge.
+            let c = if sparse == 1 { sparse_catalog(scale) } else { dense_catalog(scale) };
             let a = TableSet::from_bits(bits_a as u128);
             let b = TableSet::from_bits((bits_b as u128) & !(bits_a as u128));
             let expected = uncached_selectivity(&c, a, b).to_bits();

@@ -145,14 +145,9 @@ impl EpsFactors {
     /// products, same summation order).
     #[inline]
     pub fn bound_of(&self, cost: &CostVector) -> CostVector {
-        let d = cost.dim();
-        let mut v = [0.0; MAX_COST_DIM];
-        for (k, slot) in v[..d].iter_mut().enumerate() {
-            // Saturate at MAX so an infinite factor (legal: "everything is
-            // covered on this metric") still yields a valid cost vector.
-            *slot = (self.values[k] * cost[k]).min(f64::MAX);
-        }
-        CostVector::new(&v[..d])
+        // Saturates at MAX so an infinite factor (legal: "everything is
+        // covered on this metric") still yields a valid cost vector.
+        cost.scaled_saturating(&self.values)
     }
 
     /// The ε-Pareto box of `cost`: per metric, the index of the

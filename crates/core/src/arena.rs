@@ -143,6 +143,18 @@ impl PlanNode {
     pub fn is_join(&self) -> bool {
         matches!(self.kind, PlanNodeKind::Join { .. })
     }
+
+    /// The node's properties as the [`PlanView`] cost models consume.
+    #[inline]
+    fn view(&self) -> PlanView {
+        PlanView {
+            rel: self.rel,
+            cost: self.cost,
+            rows: self.rows,
+            pages: self.pages,
+            format: self.format,
+        }
+    }
 }
 
 /// Interning statistics (reported by the perf-baseline harness).
@@ -241,30 +253,28 @@ impl PlanArena {
     /// consumed by [`CostModel`] implementations.
     #[inline]
     pub fn view(&self, id: PlanId) -> PlanView {
-        let n = &self.nodes[id.index()];
-        PlanView {
-            rel: n.rel,
-            cost: n.cost,
-            rows: n.rows,
-            pages: n.pages,
-            format: n.format,
-        }
+        self.nodes[id.index()].view()
     }
 
-    /// Interns `kind` with the given derived properties, returning the
-    /// canonical id. On a hit the existing id is returned and nothing is
-    /// allocated; debug builds assert the cached properties agree with the
-    /// candidate's (they must, for a fixed cost model).
-    fn intern(&mut self, kind: PlanNodeKind, rel: TableSet, props: PlanProps) -> PlanId {
+    /// Interns `kind`, returning the canonical id. A hit costs one hash
+    /// probe and allocates nothing; a miss calls `make` with the nodes
+    /// interned so far for the new node's table set and properties, appends
+    /// the node and inserts it (a second probe).
+    ///
+    /// The map's `entry` API would answer a miss with one probe, but it
+    /// made the hit path slower: the arena's mutation micro-benchmark
+    /// (`plan_mutate_arena_vs_arc`, nearly all hits) lost about a fifth of
+    /// its speedup, while RMQ iterations (mostly misses) ran no faster.
+    fn intern_with(
+        &mut self,
+        kind: PlanNodeKind,
+        make: impl FnOnce(&[PlanNode]) -> (TableSet, PlanProps),
+    ) -> PlanId {
         if let Some(&id) = self.intern.get(&kind) {
             self.dedup_hits += 1;
-            debug_assert_eq!(
-                self.nodes[id.index()].cost.as_slice(),
-                props.cost.as_slice(),
-                "intern hit disagrees on cost: one arena, one cost model"
-            );
             return id;
         }
+        let (rel, props) = make(&self.nodes);
         let id = PlanId(u32::try_from(self.nodes.len()).expect("arena full: > u32::MAX nodes"));
         self.interned_total += 1;
         self.nodes.push(PlanNode {
@@ -279,23 +289,32 @@ impl PlanArena {
         id
     }
 
-    /// The canonical id of the scan `(table, op)`, if already interned.
-    #[inline]
-    pub fn find_scan(&self, table: TableId, op: ScanOpId) -> Option<PlanId> {
-        self.intern.get(&PlanNodeKind::Scan { table, op }).copied()
+    /// [`Self::intern_with`] for a node whose properties are already
+    /// computed; debug builds assert that a hit's cached properties agree
+    /// with them (they must, for a fixed cost model).
+    fn intern(
+        &mut self,
+        kind: PlanNodeKind,
+        props: PlanProps,
+        rel: impl FnOnce(&[PlanNode]) -> TableSet,
+    ) -> PlanId {
+        let id = self.intern_with(kind, |nodes| (rel(nodes), props));
+        debug_assert_eq!(
+            self.nodes[id.index()].cost.as_slice(),
+            props.cost.as_slice(),
+            "intern hit disagrees on cost: one arena, one cost model"
+        );
+        id
     }
 
-    /// The canonical id of the join `(outer, inner, op)`, if already
-    /// interned. Because children are canonical, this single hash probe
-    /// answers "has this exact plan been built before?" — the key to
-    /// **memoized costing**: a hit's cached properties are exactly what the
-    /// cost model would recompute, so hot paths probe here first and skip
-    /// the model on revisited candidates.
-    #[inline]
-    pub fn find_join(&self, outer: PlanId, inner: PlanId, op: JoinOpId) -> Option<PlanId> {
-        self.intern
-            .get(&PlanNodeKind::Join { outer, inner, op })
-            .copied()
+    /// The table set of the join of `outer` and `inner`.
+    fn join_rel(nodes: &[PlanNode], outer: PlanId, inner: PlanId) -> TableSet {
+        let (o_rel, i_rel) = (nodes[outer.index()].rel, nodes[inner.index()].rel);
+        debug_assert!(
+            o_rel.is_disjoint(i_rel),
+            "join operands overlap: {o_rel} vs {i_rel}"
+        );
+        o_rel.union(i_rel)
     }
 
     /// The cached derived properties of `id` (cost, rows, pages, format).
@@ -319,11 +338,11 @@ impl PlanArena {
         table: TableId,
         op: ScanOpId,
     ) -> PlanId {
-        if let Some(id) = self.find_scan(table, op) {
-            self.dedup_hits += 1;
-            return id;
-        }
-        self.scan_from_props(table, op, model.scan_props(table, op))
+        self.intern_with(PlanNodeKind::Scan { table, op }, |_| {
+            let props = model.scan_props(table, op);
+            debug_assert!(props.cost.is_valid(), "scan produced invalid cost");
+            (TableSet::singleton(table), props)
+        })
     }
 
     /// Interns a scan from properties already computed by a cost model (the
@@ -331,11 +350,9 @@ impl PlanArena {
     /// paths, which cost candidates before materializing them).
     pub fn scan_from_props(&mut self, table: TableId, op: ScanOpId, props: PlanProps) -> PlanId {
         debug_assert!(props.cost.is_valid(), "scan produced invalid cost");
-        self.intern(
-            PlanNodeKind::Scan { table, op },
-            TableSet::singleton(table),
-            props,
-        )
+        self.intern(PlanNodeKind::Scan { table, op }, props, |_| {
+            TableSet::singleton(table)
+        })
     }
 
     /// Interns a join of `outer` and `inner` with operator `op`, costing the
@@ -352,12 +369,16 @@ impl PlanArena {
         inner: PlanId,
         op: JoinOpId,
     ) -> PlanId {
-        if let Some(id) = self.find_join(outer, inner, op) {
-            self.dedup_hits += 1;
-            return id;
-        }
-        let props = model.join_props(&self.view(outer), &self.view(inner), op);
-        self.join_from_props(outer, inner, op, props)
+        self.intern_with(PlanNodeKind::Join { outer, inner, op }, |nodes| {
+            let rel = Self::join_rel(nodes, outer, inner);
+            let props = model.join_props(
+                &nodes[outer.index()].view(),
+                &nodes[inner.index()].view(),
+                op,
+            );
+            debug_assert!(props.cost.is_valid(), "join produced invalid cost");
+            (rel, props)
+        })
     }
 
     /// Interns a join from properties already computed by a cost model (the
@@ -372,17 +393,10 @@ impl PlanArena {
         op: JoinOpId,
         props: PlanProps,
     ) -> PlanId {
-        let (o_rel, i_rel) = (self.nodes[outer.index()].rel, self.nodes[inner.index()].rel);
-        debug_assert!(
-            o_rel.is_disjoint(i_rel),
-            "join operands overlap: {o_rel} vs {i_rel}"
-        );
         debug_assert!(props.cost.is_valid(), "join produced invalid cost");
-        self.intern(
-            PlanNodeKind::Join { outer, inner, op },
-            o_rel.union(i_rel),
-            props,
-        )
+        self.intern(PlanNodeKind::Join { outer, inner, op }, props, |nodes| {
+            Self::join_rel(nodes, outer, inner)
+        })
     }
 
     /// Total number of nodes (scans + joins) in the *tree* rooted at `id`
@@ -590,6 +604,42 @@ mod tests {
         } else {
             panic!("expected join");
         }
+    }
+
+    #[test]
+    fn scripted_interning_pins_ids_and_counts() {
+        let m = StubModel::line(3, 2, 1);
+        let (t0, t1) = (TableId::new(0), TableId::new(1));
+        let mut arena = PlanArena::new();
+        let s0 = arena.scan(&m, t0, ScanOpId(0));
+        let s1 = arena.scan(&m, t1, ScanOpId(0));
+        assert_eq!(arena.scan(&m, t0, ScanOpId(0)), s0, "scan hit");
+        let j = arena.join(&m, s0, s1, JoinOpId(0));
+        assert_eq!(arena.join(&m, s0, s1, JoinOpId(0)), j, "join hit");
+        // Interning an existing node from its properties is a hit too.
+        let props = arena.props(j);
+        assert_eq!(arena.join_from_props(s0, s1, JoinOpId(0), props), j);
+        let props = m.join_props(&arena.view(s1), &arena.view(s0), JoinOpId(1));
+        let k = arena.join_from_props(s1, s0, JoinOpId(1), props);
+        assert_eq!(
+            [s0, s1, j, k].map(PlanId::index),
+            [0, 1, 2, 3],
+            "ids are dense in interning order"
+        );
+        assert_eq!(arena.node(k).rel(), TableSet::prefix(2));
+        let stats = arena.stats();
+        assert_eq!((stats.nodes, stats.dedup_hits, stats.misses), (4, 3, 4));
+        // A clear drops the nodes, keeps the lifetime counts, and reuses ids.
+        arena.clear();
+        let stats = arena.stats();
+        assert_eq!((stats.nodes, stats.dedup_hits, stats.misses), (0, 3, 4));
+        let s1 = arena.scan(&m, t1, ScanOpId(0));
+        let s0 = arena.scan(&m, t0, ScanOpId(0));
+        let j = arena.join(&m, s1, s0, JoinOpId(0));
+        assert_eq!([s1, s0, j].map(PlanId::index), [0, 1, 2]);
+        assert_eq!(arena.join(&m, s1, s0, JoinOpId(0)), j);
+        let stats = arena.stats();
+        assert_eq!((stats.nodes, stats.dedup_hits, stats.misses), (3, 4, 7));
     }
 
     #[test]

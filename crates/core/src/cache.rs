@@ -69,10 +69,11 @@ impl<P> PlanCache<P> {
 
     /// Inserts a candidate described by its table set, cost vector and
     /// output format, materializing it via `make` only on admission
-    /// ([`ParetoSet::admit`]) — the hot-path entry point of the frontier
-    /// approximation, where most operator combinations are pruned and must
-    /// not allocate. The materialized plan must match `rel`, `cost` and
-    /// `format`. Returns `true` iff the candidate was kept.
+    /// ([`ParetoSet::admit`]), so a pruned candidate does not allocate. The
+    /// materialized plan must match `rel`, `cost` and `format`. Returns
+    /// `true` iff the candidate was kept. The frontier approximation, which
+    /// offers many candidates of one table set in a row, resolves the
+    /// table set's frontier once per run instead.
     pub fn insert_with(
         &mut self,
         rel: TableSet,
@@ -81,15 +82,25 @@ impl<P> PlanCache<P> {
         admission: &Admission,
         make: impl FnOnce() -> P,
     ) -> bool {
-        let set = self.map.entry(rel).or_default();
-        let kept = set.admit(cost, format, admission, make);
-        self.screen.absorb(&set.take_screen_counters());
-        if kept {
-            self.insertions += 1;
-        } else {
-            self.rejections += 1;
+        self.target(rel).admit(cost, format, admission, make)
+    }
+
+    /// The frontier of `rel` (created empty if the table set was never
+    /// seen) as the target of a run of candidates — the hot-path entry
+    /// point of the frontier approximation, which offers every operator
+    /// combination of one plan node to the same table set. The map is
+    /// probed once per run instead of once per candidate. Kept and rejected
+    /// candidates count as with [`insert_with`](Self::insert_with), and the
+    /// frontier's screening tallies are absorbed into
+    /// [`take_screen_counters`](Self::take_screen_counters) when the target
+    /// is dropped.
+    pub(crate) fn target(&mut self, rel: TableSet) -> CacheTarget<'_, P> {
+        CacheTarget {
+            set: self.map.entry(rel).or_default(),
+            insertions: &mut self.insertions,
+            rejections: &mut self.rejections,
+            screen: &mut self.screen,
         }
-        kept
     }
 
     /// Number of distinct table sets with a cached frontier.
@@ -141,6 +152,42 @@ impl<P> PlanCache<P> {
     }
 }
 
+/// The frontier of one table set of a [`PlanCache`], borrowed for a run of
+/// admissions (see [`PlanCache::target`]).
+#[derive(Debug)]
+pub(crate) struct CacheTarget<'a, P> {
+    set: &'a mut ParetoSet<P>,
+    insertions: &'a mut u64,
+    rejections: &'a mut u64,
+    screen: &'a mut ScreenCounters,
+}
+
+impl<P> CacheTarget<'_, P> {
+    /// [`PlanCache::insert_with`] into the target's table set.
+    #[inline]
+    pub(crate) fn admit(
+        &mut self,
+        cost: &CostVector,
+        format: OutputFormat,
+        admission: &Admission,
+        make: impl FnOnce() -> P,
+    ) -> bool {
+        let kept = self.set.admit(cost, format, admission, make);
+        if kept {
+            *self.insertions += 1;
+        } else {
+            *self.rejections += 1;
+        }
+        kept
+    }
+}
+
+impl<P> Drop for CacheTarget<'_, P> {
+    fn drop(&mut self) {
+        self.screen.absorb(&self.set.take_screen_counters());
+    }
+}
+
 impl PlanCache<PlanRef> {
     /// Inserts `plan` into the frontier of its own table set under the
     /// given admission (Algorithm 3's `Prune` for approximate rules).
@@ -168,6 +215,7 @@ mod tests {
     use crate::model::{JoinOpId, ScanOpId};
     use crate::plan::Plan;
     use crate::tables::TableId;
+    use std::sync::Arc;
 
     fn model() -> StubModel {
         StubModel::line(3, 2, 7)
@@ -239,6 +287,49 @@ mod tests {
         let (kept, rejected) = cache.counters();
         assert_eq!((kept, rejected), (1, 1));
         assert_eq!(cache.total_plans(), 1);
+    }
+
+    #[test]
+    fn target_runs_match_single_insertions() {
+        let m = model();
+        let s0 = Plan::scan(&m, TableId::new(0), ScanOpId(0));
+        let s1 = Plan::scan(&m, TableId::new(1), ScanOpId(0));
+        let e0 = Plan::scan(&m, TableId::new(0), ScanOpId(1));
+        let candidates: Vec<PlanRef> = (0..3u16)
+            .flat_map(|op| {
+                [
+                    Plan::join(&m, s0.clone(), s1.clone(), JoinOpId(op)),
+                    Plan::join(&m, e0.clone(), s1.clone(), JoinOpId(op)),
+                ]
+            })
+            .collect();
+        let rel = TableSet::prefix(2);
+        for admission in [Admission::exact(), Admission::approx(2.0)] {
+            let mut single = PlanCache::new();
+            let mut batched = PlanCache::new();
+            // Two runs, so the second one meets a filled frontier.
+            for _ in 0..2 {
+                let mut target = batched.target(rel);
+                for p in &candidates {
+                    let kept = single.insert(p.clone(), &admission);
+                    let cost = *p.cost();
+                    assert_eq!(
+                        target.admit(&cost, p.format(), &admission, || p.clone()),
+                        kept
+                    );
+                }
+            }
+            let offered = 2 * candidates.len() as u64;
+            let (kept, rejected) = batched.counters();
+            assert_eq!((kept, rejected), single.counters());
+            assert_eq!(kept + rejected, offered);
+            let screen = batched.take_screen_counters();
+            assert_eq!(screen, single.take_screen_counters());
+            assert_eq!((screen.probes, screen.admitted), (offered, kept));
+            let ptrs = |c: &PlanCache| c.frontier(rel).iter().map(Arc::as_ptr).collect::<Vec<_>>();
+            assert_eq!(ptrs(&batched), ptrs(&single));
+            assert!(batched.check_invariant());
+        }
     }
 
     #[test]

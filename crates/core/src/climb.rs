@@ -95,13 +95,23 @@ pub struct ClimbStats {
 /// [`StepScratch::screen`]. Recomputing would have interned only nodes the
 /// arena already holds, so ids, moves and every `climb.*`/`pareto.*`
 /// counter stay bit-identical; only the arena's dedup-hit count is lower.
+///
+/// # The pooled step set
+///
+/// A computed arena step screens its candidates through a [`ParetoSet`]
+/// it takes from the scratch, and puts the set back cleared once its
+/// members are copied into the memo pool. A join step takes the set only
+/// after both child steps have put it back, so no two steps ever hold it
+/// at once: one set (and its buckets) serves every step of every climb,
+/// and the recursion allocates nothing in steady state. A cleared set
+/// decides exactly like a fresh one.
 #[derive(Debug, Default)]
 pub struct StepScratch {
     ops: Vec<crate::model::JoinOpId>,
     structural_ops: Vec<crate::model::JoinOpId>,
     /// Screening tallies harvested from every step frontier this scratch
-    /// served (each `pareto_step*` call builds a fresh [`ParetoSet`] per
-    /// recursion node and drains its counters here before returning).
+    /// served (each step screens its candidates through a [`ParetoSet`]
+    /// and drains that set's counters here before returning).
     /// Pure observation — never read by the climb itself; the RMQ loop
     /// takes the accumulated total once per iteration and flushes it to
     /// the global `moqo-obs` registry.
@@ -109,6 +119,9 @@ pub struct StepScratch {
     memo: FxHashMap<PlanId, StepMemoEntry>,
     memo_pool: Vec<PlanId>,
     memo_hits: u64,
+    /// The cleared step set (see "The pooled step set"); empty while a
+    /// step holds it.
+    step_set: ParetoSet<PlanId>,
 }
 
 /// One step-memo entry: the subtree's step frontier as a range of
@@ -291,10 +304,10 @@ where
     // Tally this subtree (children included) apart from the caller's
     // running total, so a later hit can replay exactly this delta.
     let outer_screen = std::mem::take(&mut scratch.screen);
-    let mut frontier: ParetoSet<PlanId> = ParetoSet::new();
     let admission = Admission::climb(policy);
-    match arena.node(p).kind() {
+    let mut frontier = match arena.node(p).kind() {
         PlanNodeKind::Scan { table, op } => {
+            let mut frontier = std::mem::take(&mut scratch.step_set);
             // Identity first, then the scan-operator mutations.
             let view = arena.view(p);
             frontier.admit(&view.cost, view.format, &admission, || p);
@@ -306,10 +319,13 @@ where
                     });
                 }
             }
+            frontier
         }
         PlanNodeKind::Join { outer, inner, op } => {
             let outer_pareto = step_memo_in(arena, outer, model, policy, mutations, scratch);
             let inner_pareto = step_memo_in(arena, inner, model, policy, mutations, scratch);
+            // Taken after the child steps have put it back.
+            let mut frontier = std::mem::take(&mut scratch.step_set);
             // Neither range moves below: this level appends to the pool
             // only after its candidate loops.
             for oi in outer_pareto {
@@ -363,14 +379,17 @@ where
                     );
                 }
             }
+            frontier
         }
-    }
-    scratch.screen.absorb(&frontier.screen_counters());
+    };
+    scratch.screen.absorb(&frontier.take_screen_counters());
     let screen = std::mem::replace(&mut scratch.screen, outer_screen);
     scratch.screen.absorb(&screen);
     let start = scratch.memo_pool.len();
     scratch.memo_pool.extend_from_slice(frontier.plans());
     let range = start..scratch.memo_pool.len();
+    frontier.clear();
+    scratch.step_set = frontier;
     scratch.memo.insert(
         p,
         StepMemoEntry {

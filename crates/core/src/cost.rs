@@ -175,6 +175,23 @@ impl CostVector {
         self.as_slice().iter().map(|c| alpha * c).sum()
     }
 
+    /// `min(factors[k] · c_k, f64::MAX)` per metric, the bound of
+    /// per-metric α-dominance. Built in place: a copy through
+    /// [`CostVector::new`] of a variable-length slice costs a `memcpy` call
+    /// on every approximate admission. Unused slots stay zero, as every
+    /// constructor leaves them.
+    #[inline]
+    pub(crate) fn scaled_saturating(&self, factors: &[f64; MAX_COST_DIM]) -> CostVector {
+        let mut values = [0.0; MAX_COST_DIM];
+        for ((slot, &f), &c) in values.iter_mut().zip(factors).zip(self.as_slice()) {
+            *slot = (f * c).min(f64::MAX);
+        }
+        CostVector {
+            values,
+            dim: self.dim,
+        }
+    }
+
     /// Weighted sum `Σ_k w_k · c_k` (used by scalarizing baselines).
     #[inline]
     pub fn weighted_sum(&self, weights: &[f64]) -> f64 {

@@ -73,9 +73,10 @@ pub fn approximate_frontiers<M>(
 /// [`approximate_frontiers`] with caller-provided scratch buffers.
 ///
 /// Candidate partial plans are costed first and admission-tested against
-/// the cached frontier ([`PlanCache::insert_with`]); the `Arc<Plan>` is
-/// only allocated for the candidates that survive pruning, which under a
-/// coarse α is a small fraction of the operator combinations enumerated.
+/// the cached frontier of their table set, which is looked up once per plan
+/// node; the `Arc<Plan>` is only allocated for the candidates that survive
+/// pruning, which under a coarse α is a small fraction of the operator
+/// combinations enumerated.
 pub fn approximate_frontiers_with<M>(
     p: &PlanRef,
     model: &M,
@@ -87,10 +88,10 @@ pub fn approximate_frontiers_with<M>(
 {
     match p.kind() {
         PlanKind::Scan { table, .. } => {
-            let rel = TableSet::singleton(*table);
+            let mut target = cache.target(TableSet::singleton(*table));
             for &op in model.scan_ops(*table) {
                 let props = model.scan_props(*table, op);
-                cache.insert_with(rel, &props.cost, props.format, admission, || {
+                target.admit(&props.cost, props.format, admission, || {
                     Plan::scan_from_props(*table, op, props)
                 });
             }
@@ -112,6 +113,7 @@ pub fn approximate_frontiers_with<M>(
             outer_plans.extend_from_slice(cache.frontier(outer.rel()));
             inner_plans.clear();
             inner_plans.extend_from_slice(cache.frontier(inner.rel()));
+            let mut target = cache.target(outer.rel().union(inner.rel()));
             for o in outer_plans.iter() {
                 // Views are hoisted out of the candidate loops: one copy
                 // per operand pair, reused across every operator.
@@ -120,10 +122,9 @@ pub fn approximate_frontiers_with<M>(
                     let vi = i.view();
                     ops.clear();
                     model.join_ops(vo, vi, ops);
-                    let rel = o.rel().union(i.rel());
                     for &op in ops.iter() {
                         let props = model.join_props(vo, vi, op);
-                        cache.insert_with(rel, &props.cost, props.format, admission, || {
+                        target.admit(&props.cost, props.format, admission, || {
                             Plan::join_from_props(o.clone(), i.clone(), op, props)
                         });
                     }
@@ -149,10 +150,10 @@ pub fn approximate_frontiers_in<M>(
 {
     match arena.node(p).kind() {
         PlanNodeKind::Scan { table, .. } => {
-            let rel = TableSet::singleton(table);
+            let mut target = cache.target(TableSet::singleton(table));
             for &op in model.scan_ops(table) {
                 let props = model.scan_props(table, op);
-                cache.insert_with(rel, &props.cost, props.format, admission, || {
+                target.admit(&props.cost, props.format, admission, || {
                     arena.scan_from_props(table, op, props)
                 });
             }
@@ -171,7 +172,8 @@ pub fn approximate_frontiers_in<M>(
             outer_plans.extend_from_slice(cache.frontier(outer_rel));
             inner_plans.clear();
             inner_plans.extend_from_slice(cache.frontier(inner_rel));
-            let rel = outer_rel.union(inner_rel);
+            // One cache lookup for every candidate of this node.
+            let mut target = cache.target(outer_rel.union(inner_rel));
             for &o in outer_plans.iter() {
                 // One view copy per operand pair, reused across operators.
                 let vo = arena.view(o);
@@ -187,7 +189,7 @@ pub fn approximate_frontiers_in<M>(
                         // Interning happens only on admission (the rare
                         // path), where it replaces the old Arc allocation.
                         let props = model.join_props(&vo, &vi, op);
-                        cache.insert_with(rel, &props.cost, props.format, admission, || {
+                        target.admit(&props.cost, props.format, admission, || {
                             arena.join_from_props(o, i, op, props)
                         });
                     }

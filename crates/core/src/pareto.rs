@@ -40,7 +40,8 @@
 //! argument hinges on these checks being cheap. [`ParetoSet`] therefore
 //!
 //! * **buckets members by output format** — the `SameOutput` conjunct
-//!   becomes a hash-map lookup followed by a scan of one format's members;
+//!   becomes an index into a small vector of buckets (format ids are dense
+//!   `u8`s) followed by a scan of one format's members;
 //! * **stores each bucket's cost vectors in structure-of-arrays blocks** —
 //!   blocks of [`LANES`] members hold metric `k` of all lanes contiguously,
 //!   so one candidate is screened against a whole block per pass with a
@@ -62,7 +63,6 @@
 
 use crate::archive::{Admission, AdmissionRule, BoxKey, EpsFactors};
 use crate::cost::CostVector;
-use crate::fxhash::FxHashMap;
 use crate::model::OutputFormat;
 use crate::plan::{Plan, PlanRef};
 
@@ -342,8 +342,13 @@ impl Bucket {
 /// a per-output-format bucket on the side holding the
 /// structure-of-arrays mirror of the members' costs, so same-format probes
 /// never scan members of other formats and screened members are compared a
-/// whole block per pass. See the module docs for the full hot-path
-/// rationale.
+/// whole block per pass. Buckets live in a vector indexed by the format id,
+/// grown on first use of a format, so finding a format's bucket costs no
+/// hash probe. See the module docs for the full hot-path rationale.
+///
+/// [`clear`](Self::clear) keeps every allocation (members, buckets and their
+/// blocks), and a cleared set makes exactly the decisions of a fresh one, so
+/// hot loops reuse cleared sets instead of building new ones.
 ///
 /// The member handle type `P` is generic: every pruning decision reads only
 /// the inline `(cost, key, format)` metadata, so the same code stores
@@ -355,8 +360,10 @@ pub struct ParetoSet<P = PlanRef> {
     plans: Vec<P>,
     /// Parallel to `plans`: inline cost metadata.
     meta: Vec<Meta>,
-    /// Output format → SoA bucket over ascending indices into `plans`/`meta`.
-    buckets: FxHashMap<OutputFormat, Bucket>,
+    /// Indexed by `OutputFormat.0`: the SoA bucket over ascending indices
+    /// into `plans`/`meta` of that format's members (empty for formats
+    /// without members).
+    buckets: Vec<Bucket>,
     /// Screening tallies (observational only; see [`ScreenCounters`]).
     screen: ScreenCounters,
 }
@@ -366,7 +373,7 @@ impl<P> Default for ParetoSet<P> {
         ParetoSet {
             plans: Vec::new(),
             meta: Vec::new(),
-            buckets: FxHashMap::default(),
+            buckets: Vec::new(),
             screen: ScreenCounters::default(),
         }
     }
@@ -401,23 +408,32 @@ impl<P> ParetoSet<P> {
         self.plans.is_empty()
     }
 
-    /// Removes all members.
+    /// Removes all members, keeping the allocated capacity. The screening
+    /// tallies are left as they are (drain them with
+    /// [`take_screen_counters`](Self::take_screen_counters)).
     pub fn clear(&mut self) {
         self.plans.clear();
         self.meta.clear();
-        for bucket in self.buckets.values_mut() {
+        for bucket in &mut self.buckets {
             bucket.reset();
         }
+    }
+
+    /// The bucket of `format`, growing the bucket vector on first use.
+    #[inline]
+    fn bucket_mut(buckets: &mut Vec<Bucket>, format: OutputFormat) -> &mut Bucket {
+        let i = format.0 as usize;
+        if i >= buckets.len() {
+            buckets.resize_with(i + 1, Bucket::default);
+        }
+        &mut buckets[i]
     }
 
     #[inline]
     fn push(&mut self, plan: P, meta: Meta) {
         let idx = self.plans.len() as u32;
         self.plans.push(plan);
-        self.buckets
-            .entry(meta.format)
-            .or_default()
-            .push(idx, &meta);
+        Self::bucket_mut(&mut self.buckets, meta.format).push(idx, &meta);
         self.meta.push(meta);
     }
 
@@ -450,11 +466,11 @@ impl<P> ParetoSet<P> {
             idx += 1;
             !drop
         });
-        for bucket in self.buckets.values_mut() {
+        for bucket in &mut self.buckets {
             bucket.reset();
         }
         for (i, m) in self.meta.iter().enumerate() {
-            self.buckets.entry(m.format).or_default().push(i as u32, m);
+            Self::bucket_mut(&mut self.buckets, m.format).push(i as u32, m);
         }
     }
 
@@ -485,17 +501,14 @@ impl<P> ParetoSet<P> {
         if admission.rule == AdmissionRule::Climb(PrunePolicy::OnePerFormat) {
             return match self
                 .buckets
-                .get(&format)
+                .get(format.0 as usize)
                 .and_then(|b| b.ids.first().copied())
             {
                 Some(idx) => {
                     self.screen.dominance_tests += 1;
                     if cost.strictly_dominates(&self.meta[idx as usize].cost) {
                         let meta = Meta::of(cost, format);
-                        self.buckets
-                            .get_mut(&format)
-                            .expect("bucket exists")
-                            .replace(0, &meta);
+                        self.buckets[format.0 as usize].replace(0, &meta);
                         self.meta[idx as usize] = meta;
                         self.plans[idx as usize] = make();
                         self.screen.admitted += 1;
@@ -527,20 +540,16 @@ impl<P> ParetoSet<P> {
                 // Weak dominance (`m ⪯ c`) folds the strict-domination and
                 // exact-duplicate rejections of Algorithm 2 into one bound.
                 let key = cost.agg_key();
-                let screen = &mut self.screen;
-                if self
-                    .buckets
-                    .get(&format)
-                    .is_some_and(|b| b.covers(cost, key, screen))
-                {
-                    true
-                } else {
-                    // Weakly dominated members are strictly dominated here:
-                    // an equal-cost member would have rejected the candidate.
-                    if let Some(b) = self.buckets.get(&format) {
+                match self.buckets.get(format.0 as usize) {
+                    Some(b) if b.covers(cost, key, &mut self.screen) => true,
+                    Some(b) => {
+                        // Weakly dominated members are strictly dominated
+                        // here: an equal-cost member would have rejected the
+                        // candidate.
                         b.harvest_dominated(cost, key, &mut dead, &mut self.screen);
+                        false
                     }
-                    false
+                    None => false,
                 }
             }
             AdmissionRule::Approx(eps) => {
@@ -551,26 +560,21 @@ impl<P> ParetoSet<P> {
                 // scalar-α path.
                 let bound = eps.bound_of(cost);
                 let bound_key = bound.agg_key();
-                let screen = &mut self.screen;
-                if self
-                    .buckets
-                    .get(&format)
-                    .is_some_and(|b| b.covers(&bound, bound_key, screen))
-                {
-                    true
-                } else {
-                    let key = cost.agg_key();
-                    if let Some(b) = self.buckets.get(&format) {
+                match self.buckets.get(format.0 as usize) {
+                    Some(b) if b.covers(&bound, bound_key, &mut self.screen) => true,
+                    Some(b) => {
+                        let key = cost.agg_key();
                         b.harvest_dominated(cost, key, &mut dead, &mut self.screen);
+                        false
                     }
-                    false
+                    None => false,
                 }
             }
             AdmissionRule::EpsBox(eps) => {
                 let cbox = eps.box_key(cost);
                 let meta = &self.meta;
                 let screen = &mut self.screen;
-                let bucket = self.buckets.entry(format).or_default();
+                let bucket = Self::bucket_mut(&mut self.buckets, format);
                 bucket.ensure_boxes(&eps, meta);
                 let mut covered = false;
                 for (slot, &i) in bucket.ids.iter().enumerate() {
@@ -601,21 +605,17 @@ impl<P> ParetoSet<P> {
                 covered
             }
             AdmissionRule::CostFrontier => {
+                // Buckets are screened in format-id order.
                 let key = cost.agg_key();
                 let screen = &mut self.screen;
-                let mut covered = false;
-                for b in self.buckets.values() {
-                    if b.covers(cost, key, screen) {
-                        covered = true;
-                        break;
-                    }
-                }
+                let covered = self.buckets.iter().any(|b| b.covers(cost, key, screen));
                 if !covered {
-                    for b in self.buckets.values() {
+                    for b in &self.buckets {
                         b.harvest_dominated(cost, key, &mut dead, &mut self.screen);
                     }
-                    // Bucket iteration order is arbitrary; restore the
-                    // ascending order `remove_sorted` requires.
+                    // Each bucket harvests in ascending order, the
+                    // concatenation does not; restore the order
+                    // `remove_sorted` requires.
                     dead.sort_unstable();
                 }
                 covered
@@ -707,11 +707,11 @@ impl<P> ParetoSet<P> {
                 return false;
             }
         }
-        let indexed: usize = self.buckets.values().map(|b| b.ids.len()).sum();
+        let indexed: usize = self.buckets.iter().map(|b| b.ids.len()).sum();
         if indexed != self.meta.len() {
             return false;
         }
-        for (format, bucket) in &self.buckets {
+        for (format, bucket) in self.buckets.iter().enumerate() {
             if bucket.ids.windows(2).any(|w| w[0] >= w[1]) {
                 return false;
             }
@@ -720,7 +720,7 @@ impl<P> ParetoSet<P> {
             }
             for (slot, &i) in bucket.ids.iter().enumerate() {
                 let m = match self.meta.get(i as usize) {
-                    Some(m) if m.format == *format => m,
+                    Some(m) if m.format.0 as usize == format => m,
                     _ => return false,
                 };
                 let d = bucket.dim;
@@ -1511,7 +1511,61 @@ mod tests {
             Ok(())
         }
 
+        /// Candidate streams over the sparse format ids 0, 3 and 7, so the
+        /// format-indexed buckets grow past slots no member uses.
+        fn arb_sparse_stream() -> impl Strategy<Value = Vec<(Vec<f64>, u8)>> {
+            proptest::collection::vec(
+                (
+                    proptest::collection::vec((0..8u8).prop_map(f64::from), 3),
+                    prop_oneof![Just(0u8), Just(3u8), Just(7u8)],
+                ),
+                1..40,
+            )
+        }
+
         proptest! {
+            /// A set that another stream filled, then `clear`ed and drained
+            /// of its tallies, decides exactly like a fresh set under every
+            /// admission rule: same decisions, same members in the same
+            /// order, same tallies, and a consistent index. The ε-box filler
+            /// uses other factors than the stream, so stale box tags are
+            /// covered too.
+            #[test]
+            fn cleared_set_matches_fresh_set(
+                filler in arb_sparse_stream(),
+                stream in arb_sparse_stream(),
+            ) {
+                let rules = [
+                    (Admission::climb(PrunePolicy::OnePerFormat), Admission::climb(PrunePolicy::OnePerFormat)),
+                    (Admission::climb(PrunePolicy::KeepIncomparable), Admission::climb(PrunePolicy::KeepIncomparable)),
+                    (Admission::approx(2.0), Admission::approx(1.5)),
+                    (Admission::eps_box(EpsFactors::uniform(3.0)), Admission::eps_box(EpsFactors::uniform(2.0))),
+                    (Admission::cost_frontier(), Admission::cost_frontier()),
+                ];
+                for (fill, adm) in &rules {
+                    let mut reused = ParetoSet::new();
+                    for (cost, format) in &filler {
+                        reused.insert(synthetic_plan(cost, *format), fill);
+                    }
+                    reused.clear();
+                    reused.take_screen_counters();
+                    let mut fresh = ParetoSet::new();
+                    for (cost, format) in &stream {
+                        let p = synthetic_plan(cost, *format);
+                        prop_assert_eq!(
+                            reused.insert(p.clone(), adm),
+                            fresh.insert(p, adm),
+                            "decision diverged under {:?}",
+                            adm
+                        );
+                    }
+                    prop_assert_eq!(survivors(reused.plans()), survivors(fresh.plans()));
+                    prop_assert_eq!(reused.screen_counters(), fresh.screen_counters());
+                    prop_assert!(reused.check_invariant_meta());
+                    prop_assert!(fresh.check_invariant_meta());
+                }
+            }
+
             /// Both climb policies preserve the invariant (no member
             /// strictly dominates a same-format member), and bucketed
             /// pruning returns the same surviving set as the linear scan.
